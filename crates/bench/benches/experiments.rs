@@ -12,10 +12,11 @@
 //! Before overwriting the results file, the previous one is read back as
 //! a per-experiment **performance guard**: the hot sweeps ([`GUARDED`])
 //! are compared individually — not just the total — and a
-//! more-than-[`GUARD_FACTOR`]× slowdown at the same scale fails the
-//! bench instead of silently blessing the regression.
+//! more-than-`mlp_bench::GUARD_FACTOR`× slowdown at the same scale
+//! fails the bench instead of silently blessing the regression.
 //! `MLP_BENCH_GUARD=off` skips it, re-blessing the new numbers.
 
+use mlp_bench::guard_against_regression;
 use mlp_experiments::registry;
 use mlp_experiments::RunScale;
 use std::fmt::Write as _;
@@ -24,59 +25,6 @@ use std::time::Instant;
 /// Experiments whose wall time is guarded individually against the
 /// recorded baseline — the hot sweeps this bench exists to watch.
 const GUARDED: [&str; 3] = ["figure6", "table3", "figure5"];
-
-/// Maximum tolerated per-experiment slowdown vs the recorded baseline at
-/// the same scale. Generous on purpose: wall-clock on shared hosts is
-/// noisy and the guard should only trip on structural regressions.
-const GUARD_FACTOR: f64 = 3.0;
-
-/// Pulls `"key": <value>` out of the flat baseline JSON without a parser
-/// dependency (first occurrence wins; experiment names are unique keys).
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Fails (panics) if any guarded experiment regressed more than
-/// [`GUARD_FACTOR`]× against the same-scale baseline file. Individual
-/// comparison per experiment — a regression in one hot sweep must not
-/// hide inside an improvement elsewhere in the total.
-fn guard_against_regression(baseline_path: &str, scale_label: &str, timings: &[(&str, f64)]) {
-    if std::env::var("MLP_BENCH_GUARD").as_deref() == Ok("off") {
-        eprintln!("[bench guard disabled via MLP_BENCH_GUARD=off]");
-        return;
-    }
-    let Ok(old) = std::fs::read_to_string(baseline_path) else {
-        return; // first run: nothing to compare against
-    };
-    if scan_field(&old, "scale") != Some(scale_label) {
-        return; // different scale: times are not comparable
-    }
-    for &(name, secs) in timings {
-        if !GUARDED.contains(&name) {
-            continue;
-        }
-        let Some(old_secs) = scan_field(&old, name).and_then(|v| v.parse::<f64>().ok()) else {
-            continue; // experiment not in the baseline yet
-        };
-        if old_secs <= 0.0 {
-            continue;
-        }
-        assert!(
-            secs <= old_secs * GUARD_FACTOR,
-            "{name} regressed: {secs:.3}s vs {old_secs:.3}s baseline (> {GUARD_FACTOR}x, \
-             scale {scale_label}); fix the regression or rerun with MLP_BENCH_GUARD=off \
-             to re-bless"
-        );
-        eprintln!(
-            "[bench guard: {name} {secs:.3}s vs baseline {old_secs:.3}s at {scale_label} \
-             scale — within {GUARD_FACTOR}x]"
-        );
-    }
-}
 
 fn main() {
     let (scale, scale_label) = match std::env::var("MLP_BENCH_SCALE") {
@@ -123,7 +71,19 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(out).expect("create results dir");
     let path = format!("{out}/BENCH_experiments.json");
-    guard_against_regression(&path, &scale_label, &timings);
+    // Each hot sweep on its own: a regression in one must not hide
+    // inside an improvement elsewhere in the total.
+    let guarded: Vec<(&str, f64)> = timings
+        .iter()
+        .copied()
+        .filter(|(name, _)| GUARDED.contains(name))
+        .collect();
+    guard_against_regression(
+        &path,
+        ("scale", scale_label.as_str().into()),
+        Some("experiments"),
+        &guarded,
+    );
     std::fs::write(&path, &json).expect("write BENCH_experiments.json");
 
     println!("{json}");

@@ -13,9 +13,10 @@
 //!
 //! Like the experiments bench, the previous results file is a
 //! performance guard: at the same instruction count, a
-//! more-than-[`GUARD_FACTOR`]× wall-time slowdown or an RSS above budget
-//! fails the bench. `MLP_BENCH_GUARD=off` re-blesses.
+//! more-than-`mlp_bench::GUARD_FACTOR`× wall-time slowdown or an RSS
+//! above budget fails the bench. `MLP_BENCH_GUARD=off` re-blesses.
 
+use mlp_bench::{guard_against_regression, guard_enabled};
 use mlp_workloads::{TraceStore, WorkloadKind};
 use mlpsim::{MlpsimConfig, Simulator};
 use std::fmt::Write as _;
@@ -28,10 +29,6 @@ use std::time::Instant;
 /// trace (~4.3 GB of columns) would blow straight through it.
 const RSS_BUDGET_MB: u64 = 768;
 
-/// Maximum tolerated wall-time slowdown vs the recorded baseline at the
-/// same instruction count.
-const GUARD_FACTOR: f64 = 3.0;
-
 /// Peak resident set size of this process in kilobytes, from the
 /// kernel's `VmHWM` high-water mark.
 fn peak_rss_kb() -> Option<u64> {
@@ -40,22 +37,12 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Pulls `"key": <value>` out of the flat baseline JSON without a parser
-/// dependency.
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
 fn main() {
     let insts: u64 = std::env::var("MLP_STREAM_BENCH_INSTS")
         .ok()
         .map(|s| mlp_experiments::parse_insts(&s).expect("bad MLP_STREAM_BENCH_INSTS"))
         .unwrap_or(8_000_000);
-    let guard_on = std::env::var("MLP_BENCH_GUARD").as_deref() != Ok("off");
+    let guard_on = guard_enabled();
 
     // A private store spilling into a scratch directory: budget 0 forces
     // every trace to disk regardless of the environment.
@@ -104,26 +91,12 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(out).expect("create results dir");
     let path = format!("{out}/BENCH_stream.json");
-    if guard_on {
-        if let Ok(old) = std::fs::read_to_string(&path) {
-            if scan_field(&old, "insts").and_then(|v| v.parse::<u64>().ok()) == Some(insts) {
-                for (key, secs) in [("spill_secs", spill_secs), ("run_secs", run_secs)] {
-                    let Some(old_secs) = scan_field(&old, key).and_then(|v| v.parse::<f64>().ok())
-                    else {
-                        continue;
-                    };
-                    if old_secs > 0.0 {
-                        assert!(
-                            secs <= old_secs * GUARD_FACTOR,
-                            "{key} regressed: {secs:.3}s vs {old_secs:.3}s baseline \
-                             (> {GUARD_FACTOR}x at {insts} insts); fix the regression or \
-                             rerun with MLP_BENCH_GUARD=off to re-bless"
-                        );
-                    }
-                }
-            }
-        }
-    }
+    guard_against_regression(
+        &path,
+        ("insts", insts.into()),
+        None,
+        &[("spill_secs", spill_secs), ("run_secs", run_secs)],
+    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"streaming trace pipeline\",");

@@ -19,10 +19,12 @@
 //! Scale via `MLP_BENCH_SCALE=quick|standard|full` (default: quick).
 //!
 //! Like the other benches, the previous `BENCH_surrogate.json` acts as a
-//! performance guard: same scale and more than [`GUARD_FACTOR`]× slower
-//! exploration fails instead of silently blessing the regression.
+//! performance guard: same scale and more than
+//! `mlp_bench::GUARD_FACTOR`× slower exploration fails instead of
+//! silently blessing the regression.
 //! `MLP_BENCH_GUARD=off` skips it.
 
+use mlp_bench::guard_against_regression;
 use mlp_experiments::exp::sweep1000;
 use mlp_experiments::{runner, RunScale};
 use mlp_surrogate::{default_priors, ConfigPoint, Surrogate};
@@ -31,50 +33,9 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Maximum tolerated slowdown of `explore_secs` vs the recorded baseline
-/// at the same scale (see `benches/sweep.rs` for the rationale).
-const GUARD_FACTOR: f64 = 3.0;
-
 /// Acceptance floor for the surrogate's win over pricing every grid
 /// point with its own engine run.
 const MIN_SPEEDUP_X: f64 = 50.0;
-
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-fn guard_against_regression(baseline_path: &str, scale_label: &str, explore_secs: f64) {
-    if std::env::var("MLP_BENCH_GUARD").as_deref() == Ok("off") {
-        eprintln!("[bench guard disabled via MLP_BENCH_GUARD=off]");
-        return;
-    }
-    let Ok(old) = std::fs::read_to_string(baseline_path) else {
-        return; // first run: nothing to compare against
-    };
-    let (Some(old_scale), Some(old_secs)) = (
-        scan_field(&old, "scale"),
-        scan_field(&old, "explore_secs").and_then(|v| v.parse::<f64>().ok()),
-    ) else {
-        return; // unreadable baseline: overwrite rather than block
-    };
-    if old_scale != scale_label || old_secs <= 0.0 {
-        return; // different scale: times are not comparable
-    }
-    assert!(
-        explore_secs <= old_secs * GUARD_FACTOR,
-        "surrogate exploration regressed: {explore_secs:.3}s vs {old_secs:.3}s \
-         baseline (> {GUARD_FACTOR}x, scale {scale_label}); fix the regression \
-         or rerun with MLP_BENCH_GUARD=off to re-bless"
-    );
-    eprintln!(
-        "[bench guard: explore {explore_secs:.3}s vs baseline {old_secs:.3}s at \
-         {scale_label} scale — within {GUARD_FACTOR}x]"
-    );
-}
 
 fn main() {
     let (scale, scale_label) = match std::env::var("MLP_BENCH_SCALE") {
@@ -194,7 +155,12 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(out).expect("create results dir");
     let path = format!("{out}/BENCH_surrogate.json");
-    guard_against_regression(&path, &scale_label, explore_secs);
+    guard_against_regression(
+        &path,
+        ("scale", scale_label.as_str().into()),
+        None,
+        &[("explore_secs", explore_secs)],
+    );
     std::fs::write(&path, &json).expect("write BENCH_surrogate.json");
 
     println!("{json}");

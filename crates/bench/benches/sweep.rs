@@ -13,62 +13,18 @@
 //!
 //! Before overwriting `results/BENCH_sweep.json`, the previous file is
 //! read back as a **performance guard**: if it was recorded at the same
-//! scale and the new serial sweep is more than [`GUARD_FACTOR`]× slower,
-//! the bench fails instead of silently blessing the regression (the
+//! scale and the new serial sweep is more than
+//! `mlp_bench::GUARD_FACTOR`× slower, the bench fails instead of
+//! silently blessing the regression (the
 //! guard exists to catch accidental hot-path cost, e.g. observability
 //! probes that stopped being free). `MLP_BENCH_GUARD=off` skips it —
 //! for legitimately slower hosts or intentional trade-offs.
 
+use mlp_bench::guard_against_regression;
 use mlp_experiments::{exp, runner, RunScale};
 use mlp_workloads::{TraceStore, WorkloadKind};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Maximum tolerated slowdown of `serial_secs` vs the recorded baseline
-/// at the same scale. Generous on purpose: wall-clock on shared hosts is
-/// noisy and the guard should only trip on structural regressions.
-const GUARD_FACTOR: f64 = 3.0;
-
-/// Pulls `"key": <number>` or `"key": "<string>"` out of the flat
-/// baseline JSON without a parser dependency.
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Fails (panics) if the previous baseline at the same scale is more
-/// than [`GUARD_FACTOR`]× faster than this run's serial sweep.
-fn guard_against_regression(baseline_path: &str, scale_label: &str, serial_secs: f64) {
-    if std::env::var("MLP_BENCH_GUARD").as_deref() == Ok("off") {
-        eprintln!("[bench guard disabled via MLP_BENCH_GUARD=off]");
-        return;
-    }
-    let Ok(old) = std::fs::read_to_string(baseline_path) else {
-        return; // first run: nothing to compare against
-    };
-    let (Some(old_scale), Some(old_secs)) = (
-        scan_field(&old, "scale"),
-        scan_field(&old, "serial_secs").and_then(|v| v.parse::<f64>().ok()),
-    ) else {
-        return; // unreadable baseline: overwrite rather than block
-    };
-    if old_scale != scale_label || old_secs <= 0.0 {
-        return; // different scale: times are not comparable
-    }
-    assert!(
-        serial_secs <= old_secs * GUARD_FACTOR,
-        "serial sweep regressed: {serial_secs:.3}s vs {old_secs:.3}s baseline \
-         (> {GUARD_FACTOR}x, scale {scale_label}); fix the regression or rerun \
-         with MLP_BENCH_GUARD=off to re-bless"
-    );
-    eprintln!(
-        "[bench guard: serial {serial_secs:.3}s vs baseline {old_secs:.3}s at \
-         {scale_label} scale — within {GUARD_FACTOR}x]"
-    );
-}
 
 fn main() {
     let (scale, scale_label) = match std::env::var("MLP_BENCH_SCALE") {
@@ -175,7 +131,12 @@ fn main() {
     std::fs::create_dir_all(out).expect("create results dir");
     let path = format!("{out}/BENCH_sweep.json");
     if let Some((serial_secs, _, _)) = serial_vs_parallel {
-        guard_against_regression(&path, &scale_label, serial_secs);
+        guard_against_regression(
+            &path,
+            ("scale", scale_label.as_str().into()),
+            None,
+            &[("serial_secs", serial_secs)],
+        );
     }
     std::fs::write(&path, &json).expect("write BENCH_sweep.json");
 

@@ -22,9 +22,9 @@
 //! keeps a machine-readable record of *what* failed and *why* next to
 //! the nineteen results that survived.
 //!
-//! The writer is first-party (no serde): the workspace builds offline
-//! and the schema is small enough that a ~100-line emitter is cheaper
-//! than a dependency.
+//! Values are the workspace's [`Json`] type (`mlp-json`, no serde: the
+//! workspace builds offline), and its writer renders every value and
+//! string in the document; this module only lays out the report.
 //!
 //! # Examples
 //!
@@ -42,6 +42,8 @@
 
 use crate::runner::SEED;
 use crate::RunScale;
+use mlp_json::write_str;
+pub use mlp_json::Json;
 use std::fmt::Write as _;
 
 /// Version tag stamped into every report, bumped on schema changes.
@@ -74,119 +76,6 @@ pub enum Status {
         /// Wall time spent before the failure surfaced, in milliseconds.
         elapsed_ms: u64,
     },
-}
-
-/// A JSON value with deterministic serialization.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null` (also used for non-finite floats).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer (serialized without a decimal point).
-    Int(i64),
-    /// A float, rendered with shortest round-trip formatting.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-impl From<i64> for Json {
-    fn from(v: i64) -> Json {
-        Json::Int(v)
-    }
-}
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        Json::Int(v as i64)
-    }
-}
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        Json::Int(v as i64)
-    }
-}
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-impl<T: Into<Json>> From<Vec<T>> for Json {
-    fn from(v: Vec<T>) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-impl<T: Into<Json>, const N: usize> From<[T; N]> for Json {
-    fn from(v: [T; N]) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-impl<T: Into<Json>> From<Option<T>> for Json {
-    fn from(v: Option<T>) -> Json {
-        v.map_or(Json::Null, Into::into)
-    }
-}
-
-impl Json {
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Num(x) if !x.is_finite() => out.push_str("null"),
-            Json::Num(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Str(s) => write_json_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-        }
-    }
-}
-
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One result row: an ordered list of named fields.
@@ -223,7 +112,7 @@ impl Row {
         for (i, (k, v)) in self.fields.iter().enumerate() {
             out.push_str(&pad);
             out.push_str("  ");
-            write_json_str(out, k);
+            write_str(out, k);
             out.push_str(": ");
             v.write(out);
             out.push_str(if i + 1 < self.fields.len() {
@@ -354,7 +243,7 @@ impl Report {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = write!(out, "  \"schema\": ");
-        write_json_str(
+        write_str(
             &mut out,
             if !self.histograms.is_empty() {
                 SCHEMA_V4
@@ -365,18 +254,18 @@ impl Report {
             },
         );
         let _ = write!(out, ",\n  \"experiment\": ");
-        write_json_str(&mut out, self.experiment);
+        write_str(&mut out, self.experiment);
         let _ = write!(out, ",\n  \"title\": ");
-        write_json_str(&mut out, self.title);
+        write_str(&mut out, self.title);
         let _ = write!(out, ",\n  \"section\": ");
-        write_json_str(&mut out, self.section);
+        write_str(&mut out, self.section);
         let _ = write!(out, ",\n  \"scale\": ");
-        write_json_str(&mut out, self.scale);
+        write_str(&mut out, self.scale);
         match &self.status {
             Status::Ok => out.push_str(",\n  \"status\": \"ok\""),
             Status::Failed { error, elapsed_ms } => {
                 out.push_str(",\n  \"status\": \"failed\",\n  \"error\": ");
-                write_json_str(&mut out, error);
+                write_str(&mut out, error);
                 let _ = write!(out, ",\n  \"elapsed_ms\": {elapsed_ms}");
             }
         }
@@ -384,7 +273,7 @@ impl Report {
         for (i, (name, values)) in self.axes.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            write_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(": ");
             values.write(&mut out);
         }
@@ -406,7 +295,7 @@ impl Report {
             for (i, (name, value)) in self.metrics.iter().enumerate() {
                 out.push_str(if i == 0 { "\n" } else { ",\n" });
                 out.push_str("    ");
-                write_json_str(&mut out, name);
+                write_str(&mut out, name);
                 out.push_str(": ");
                 value.write(&mut out);
             }
@@ -417,7 +306,7 @@ impl Report {
             for (i, hist) in self.histograms.iter().enumerate() {
                 out.push_str(if i == 0 { "\n" } else { ",\n" });
                 out.push_str("    ");
-                write_json_str(&mut out, hist.name);
+                write_str(&mut out, hist.name);
                 let _ = write!(
                     out,
                     ": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",

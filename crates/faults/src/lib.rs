@@ -31,6 +31,10 @@
 //! cumulative number of probes — experiments run sequentially — never on
 //! thread scheduling.
 //!
+//! Concurrent tests arm faults with [`arm_scoped`]: the plan belongs to
+//! the arming thread, so no sibling test can consume it. Faults that
+//! fire on another thread (a worker's job body) need [`set_for_test`].
+//!
 //! A malformed `MLP_FAULT` value is reported once on stderr and ignored:
 //! a typo'd injection must not silently pass a fault test, and the
 //! warning makes the misconfiguration visible.
@@ -50,6 +54,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::Mutex;
 
 /// Site name: panic inside the n-th parallel sweep job (see `mlp-par`).
@@ -106,23 +112,36 @@ fn parse_spec(spec: &str) -> Result<(String, u64), &'static str> {
     Ok((site.to_string(), param))
 }
 
+thread_local! {
+    /// This thread's scoped plan (see [`arm_scoped`]); when set it is
+    /// the whole plan for the thread and the global one is not consulted.
+    static SCOPED: RefCell<Option<Armed>> = const { RefCell::new(None) };
+}
+
 fn with_armed<R>(f: impl FnOnce(&mut Option<Armed>) -> R) -> R {
-    let mut guard = ARMED.lock().unwrap_or_else(|e| e.into_inner());
-    let slot = guard.get_or_insert_with(|| match std::env::var(ENV_VAR) {
-        Ok(spec) => match parse_spec(&spec) {
-            Ok((site, param)) => Some(Armed {
-                site,
-                param,
-                occurrences: 0,
-            }),
-            Err(why) => {
-                eprintln!("[mlp-faults] ignoring malformed {ENV_VAR}={spec:?}: {why}");
-                None
-            }
-        },
-        Err(_) => None,
-    });
-    f(slot)
+    SCOPED.with(|scoped| {
+        let mut scoped = scoped.borrow_mut();
+        if scoped.is_some() {
+            return f(&mut scoped);
+        }
+        drop(scoped);
+        let mut guard = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = guard.get_or_insert_with(|| match std::env::var(ENV_VAR) {
+            Ok(spec) => match parse_spec(&spec) {
+                Ok((site, param)) => Some(Armed {
+                    site,
+                    param,
+                    occurrences: 0,
+                }),
+                Err(why) => {
+                    eprintln!("[mlp-faults] ignoring malformed {ENV_VAR}={spec:?}: {why}");
+                    None
+                }
+            },
+            Err(_) => None,
+        });
+        f(slot)
+    })
 }
 
 /// The armed parameter for `site`, or `None` if the site is not armed.
@@ -176,6 +195,33 @@ pub fn set_for_test(spec: Option<(&str, u64)>) {
         param,
         occurrences: 0,
     }));
+}
+
+/// Arms `site` with `param` for the calling thread only, until the
+/// returned guard drops: [`param`], [`fire`] and [`trip`] on this thread
+/// consult this plan instead of the process-global one.
+#[must_use = "the fault is disarmed when the guard drops"]
+pub fn arm_scoped(site: &str, param: u64) -> ScopedFault {
+    SCOPED.with(|slot| {
+        *slot.borrow_mut() = Some(Armed {
+            site: site.to_string(),
+            param,
+            occurrences: 0,
+        })
+    });
+    ScopedFault(PhantomData)
+}
+
+/// Guard returned by [`arm_scoped`]; dropping it disarms the thread's
+/// plan. Not `Send`: the plan belongs to the thread that armed it.
+#[derive(Debug)]
+pub struct ScopedFault(PhantomData<*const ()>);
+
+impl Drop for ScopedFault {
+    fn drop(&mut self) {
+        // `try_with`: the thread's locals may already be torn down.
+        let _ = SCOPED.try_with(|slot| slot.replace(None));
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +298,31 @@ mod tests {
         assert!(!trip(SERVE_IO_ERROR));
         set_for_test(None);
         assert!(!trip(SERVE_CACHE_CORRUPT), "unarmed probes never trip");
+    }
+
+    #[test]
+    fn scoped_plans_stay_on_their_thread() {
+        let _g = lock();
+        set_for_test(Some((SWEEP_PANIC, 1)));
+        {
+            let _armed = arm_scoped(SERVE_CACHE_CORRUPT, 2);
+            // Another thread sees only the global plan.
+            std::thread::spawn(|| {
+                assert!(!trip(SERVE_CACHE_CORRUPT));
+                assert_eq!(param(SWEEP_PANIC), Some(1));
+            })
+            .join()
+            .unwrap();
+            // This thread sees only its own plan.
+            assert_eq!(param(SWEEP_PANIC), None);
+            assert!(!trip(SERVE_CACHE_CORRUPT));
+            assert!(trip(SERVE_CACHE_CORRUPT), "second occurrence must trip");
+            assert!(!trip(SERVE_CACHE_CORRUPT));
+        }
+        // Dropping the guard hands the thread back to the global plan.
+        assert_eq!(param(SERVE_CACHE_CORRUPT), None);
+        assert_eq!(param(SWEEP_PANIC), Some(1));
+        set_for_test(None);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! override the mode with [`set_for_test`] and must serialize on their
 //! own lock because the state is process-global.
 
+use mlp_json::{write_str, Json};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -567,24 +568,6 @@ pub fn flush_event_sink() {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Emits one event line `{"seq":N,"event":"...",...fields}` to the
 /// installed sink. No-op unless [`events_on`] and a sink is installed.
 pub fn emit(event: &str, fields: &[(&str, Value<'_>)]) {
@@ -598,26 +581,19 @@ pub fn emit(event: &str, fields: &[(&str, Value<'_>)]) {
     let seq = EVENT_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut line = String::with_capacity(64 + 24 * fields.len());
     let _ = write!(line, "{{\"seq\":{seq},\"event\":");
-    push_json_str(&mut line, event);
+    write_str(&mut line, event);
     for (key, value) in fields {
         line.push(',');
-        push_json_str(&mut line, key);
+        write_str(&mut line, key);
         line.push(':');
         match value {
             Value::U64(v) => {
                 let _ = write!(line, "{v}");
             }
-            Value::I64(v) => {
-                let _ = write!(line, "{v}");
-            }
-            Value::F64(v) if v.is_finite() => {
-                let _ = write!(line, "{v}");
-            }
-            Value::F64(_) => line.push_str("null"),
-            Value::Str(s) => push_json_str(&mut line, s),
-            Value::Bool(b) => {
-                let _ = write!(line, "{b}");
-            }
+            Value::I64(v) => Json::Int(*v).write(&mut line),
+            Value::F64(v) => Json::Num(*v).write(&mut line),
+            Value::Str(s) => write_str(&mut line, s),
+            Value::Bool(b) => Json::Bool(*b).write(&mut line),
         }
     }
     line.push_str("}\n");

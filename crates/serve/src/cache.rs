@@ -104,7 +104,7 @@ fn entry_is_valid(bytes: &[u8], experiment: &str) -> bool {
         Ok(t) => t,
         Err(_) => return false,
     };
-    let json = match mlp_stats::json::parse(text) {
+    let json = match mlp_json::parse(text) {
         Ok(j) => j,
         Err(_) => return false,
     };
@@ -181,9 +181,11 @@ mod tests {
     #[test]
     fn injected_corruption_is_detected_on_load() {
         let cache = ResultCache::new(temp_dir("fault"));
-        mlp_faults::set_for_test(Some((mlp_faults::SERVE_CACHE_CORRUPT, 1)));
+        // Armed for this thread only: sibling tests storing through their
+        // own caches must not consume the occurrence.
+        let armed = mlp_faults::arm_scoped(mlp_faults::SERVE_CACHE_CORRUPT, 1);
         cache.store("fm", "quick", GOOD.as_bytes()).unwrap();
-        mlp_faults::set_for_test(None);
+        drop(armed);
         assert!(
             cache.load("fm", "quick").is_none(),
             "fault-torn entry must read as a miss"

@@ -1,7 +1,7 @@
 //! Minimal first-party HTTP/1.1: enough protocol for a localhost job
 //! daemon, and nothing more.
 //!
-//! The workspace builds offline, so like `mlp-stats`' JSON parser this
+//! The workspace builds offline, so like the `mlp-json` parser this
 //! is a deliberate subset rather than a dependency: request line +
 //! headers + optional `Content-Length` body in, one `Connection: close`
 //! response out. Every connection serves exactly one request — job

@@ -49,8 +49,9 @@ pub mod surrogate;
 
 /// Serializes unit tests that touch process-global state (the armed
 /// fault slot, obs counters): `mlp_faults::set_for_test` is one slot per
-/// process, and a concurrent test storing through the result cache
-/// would consume another test's armed occurrence.
+/// process, which the tests whose fault fires on a worker thread need.
+/// A fault that fires on the test's own thread is armed with
+/// `mlp_faults::arm_scoped` instead and needs no lock.
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

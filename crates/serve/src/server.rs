@@ -21,6 +21,7 @@ use crate::http::{self, Request, Response};
 use crate::jobs::{Priority, Scheduler, SubmitError, Submitted};
 use mlp_experiments::registry;
 use mlp_experiments::RunScale;
+use mlp_json::Json;
 use mlp_obs::{Counter, Histogram};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -146,12 +147,12 @@ struct JobRequest {
     priority: Priority,
 }
 
-fn parse_body(body: &[u8]) -> Result<mlp_stats::json::Json, Response> {
+fn parse_body(body: &[u8]) -> Result<Json, Response> {
     let text = std::str::from_utf8(body).map_err(|_| error_response(400, "body is not utf-8"))?;
-    mlp_stats::json::parse(text).map_err(|e| error_response(400, &format!("body is not JSON: {e}")))
+    mlp_json::parse(text).map_err(|e| error_response(400, &format!("body is not JSON: {e}")))
 }
 
-fn parse_job_request(json: &mlp_stats::json::Json) -> Result<JobRequest, Response> {
+fn parse_job_request(json: &Json) -> Result<JobRequest, Response> {
     if let Some(tier) = json.get("tier").and_then(|v| v.as_str()) {
         // "surrogate" is routed before this parser; anything else is a
         // typo, not an experiment job.
@@ -275,8 +276,11 @@ fn admission_error(e: SubmitError) -> Response {
     }
 }
 
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\": {}}}\n", json_string(message)))
+/// A `{"error": <message>}` body; the message may echo client input, so
+/// it goes through the JSON string escaper.
+pub(crate) fn error_response(status: u16, message: &str) -> Response {
+    let body = Json::Obj(vec![("error".to_string(), message.into())]);
+    Response::json(status, format!("{body}\n"))
 }
 
 /// Live introspection: queue gauges plus every nonzero `serve.*` counter
@@ -286,65 +290,32 @@ fn error_response(status: u16, message: &str) -> Response {
 fn statusz(sched: &Scheduler) -> Response {
     let depths = sched.depths();
     let snap = mlp_obs::snapshot();
-    let mut body = String::with_capacity(512);
-    body.push_str("{\n");
-    body.push_str(&format!("  \"queued\": {},\n", depths.queued));
-    body.push_str(&format!("  \"running\": {},\n", depths.running));
-    body.push_str("  \"counters\": {");
-    let mut first = true;
-    for c in snap
-        .counters
-        .iter()
-        .filter(|c| c.name.starts_with("serve."))
-    {
-        if !first {
-            body.push(',');
-        }
-        first = false;
-        body.push_str(&format!("\n    \"{}\": {}", c.name, c.value));
-    }
-    body.push_str("\n  },\n");
-    body.push_str("  \"latency_ms\": {");
-    let mut first = true;
-    for h in snap
-        .histograms
-        .iter()
-        .filter(|h| h.name.starts_with("serve."))
-    {
-        if !first {
-            body.push(',');
-        }
-        first = false;
-        body.push_str(&format!(
-            "\n    \"{}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-            h.name,
-            h.count,
-            h.quantile(0.5),
-            h.quantile(0.99),
-            h.max
-        ));
-    }
-    body.push_str("\n  }\n}\n");
-    Response::json(200, body)
-}
-
-/// Minimal JSON string escaping for error messages.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let serve = |name: &str| name.starts_with("serve.");
+    let counters = (snap.counters.iter())
+        .filter(|c| serve(c.name))
+        .map(|c| (c.name.to_string(), c.value.into()))
+        .collect();
+    let latency = (snap.histograms.iter())
+        .filter(|h| serve(h.name))
+        .map(|h| {
+            let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
+            let summary = [
+                ("count", h.count),
+                ("p50", p50),
+                ("p99", p99),
+                ("max", h.max),
+            ];
+            let summary = summary.map(|(k, v)| (k.to_string(), v.into()));
+            (h.name.to_string(), Json::Obj(summary.into()))
+        })
+        .collect();
+    let body = Json::Obj(vec![
+        ("queued".to_string(), depths.queued.into()),
+        ("running".to_string(), depths.running.into()),
+        ("counters".to_string(), Json::Obj(counters)),
+        ("latency_ms".to_string(), Json::Obj(latency)),
+    ]);
+    Response::json(200, format!("{body}\n"))
 }
 
 #[cfg(test)]

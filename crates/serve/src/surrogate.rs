@@ -25,10 +25,11 @@
 //! fault injection).
 
 use crate::http::Response;
+use crate::server::error_response;
 use mlp_experiments::exp::sweep1000;
 use mlp_experiments::RunScale;
+use mlp_json::Json;
 use mlp_obs::Counter;
-use mlp_stats::json::Json;
 use mlp_surrogate::{workload_index, ConfigPoint, Surrogate};
 use std::sync::OnceLock;
 
@@ -65,33 +66,27 @@ pub fn is_surrogate_tier(json: &Json) -> bool {
     json.get("tier").and_then(Json::as_str) == Some("surrogate")
 }
 
-fn bad_request(message: &str) -> Response {
-    Response::json(
-        400,
-        format!("{{\"error\": \"{}\"}}\n", message.replace('"', "'")),
-    )
-}
-
 /// Parses and bounds-checks the config point of a surrogate-tier body.
 fn parse_point(json: &Json) -> Result<ConfigPoint, Response> {
     let benchmark = json
         .get("benchmark")
         .and_then(Json::as_str)
-        .ok_or_else(|| bad_request("missing \"benchmark\" field"))?;
+        .ok_or_else(|| error_response(400, "missing \"benchmark\" field"))?;
     let workload = workload_index(benchmark)
-        .ok_or_else(|| bad_request(&format!("unknown benchmark '{benchmark}'")))?;
+        .ok_or_else(|| error_response(400, &format!("unknown benchmark '{benchmark}'")))?;
     let axis = |name: &str, swept: &[u32]| -> Result<u32, Response> {
-        let v = json
-            .get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad_request(&format!("missing or non-integer \"{name}\" field")))?;
-        let v = u32::try_from(v).map_err(|_| bad_request(&format!("\"{name}\" out of range")))?;
+        let v = json.get(name).and_then(Json::as_u64).ok_or_else(|| {
+            error_response(400, &format!("missing or non-integer \"{name}\" field"))
+        })?;
+        let v = u32::try_from(v)
+            .map_err(|_| error_response(400, &format!("\"{name}\" out of range")))?;
         if swept.contains(&v) {
             Ok(v)
         } else {
-            Err(bad_request(&format!(
-                "\"{name}\": {v} is outside the sweep1000 grid {swept:?}"
-            )))
+            Err(error_response(
+                400,
+                &format!("\"{name}\": {v} is outside the sweep1000 grid {swept:?}"),
+            ))
         }
     };
     Ok(ConfigPoint {
@@ -142,7 +137,7 @@ mod tests {
     use super::*;
 
     fn parse(body: &str) -> Json {
-        mlp_stats::json::parse(body).expect("valid json")
+        mlp_json::parse(body).expect("valid json")
     }
 
     #[test]
@@ -150,6 +145,21 @@ mod tests {
         assert!(is_surrogate_tier(&parse("{\"tier\": \"surrogate\"}")));
         assert!(!is_surrogate_tier(&parse("{\"tier\": \"other\"}")));
         assert!(!is_surrogate_tier(&parse("{\"experiment\": \"fm\"}")));
+    }
+
+    #[test]
+    fn error_bodies_escape_the_client_benchmark_name() {
+        for name in ["a\\qb", "a\nb", "a\"b"] {
+            let mut body = String::from("{\"tier\": \"surrogate\", \"benchmark\": ");
+            mlp_json::write_str(&mut body, name);
+            body.push('}');
+            let resp = run_sync(&parse(&body));
+            assert_eq!(resp.status, 400);
+            let text = String::from_utf8(resp.body).unwrap();
+            let error = parse(&text);
+            let message = error.get("error").and_then(Json::as_str).unwrap();
+            assert!(message.contains(name), "{message:?} must echo {name:?}");
+        }
     }
 
     #[test]

@@ -283,6 +283,23 @@ fn full_queue_sheds_with_429_and_daemon_survives() {
     d.shutdown();
 }
 
+/// A 1 MiB body of `[` is answered 400, not a stack overflow: the
+/// parser's depth limit holds on a connection thread's default stack,
+/// and the daemon keeps serving health checks and real runs afterwards.
+#[test]
+fn deeply_nested_body_is_a_400_not_a_dead_daemon() {
+    let d = Daemon::spawn("nested", None, &["--workers", "1"]);
+    let body = "[".repeat(mlp_serve::http::MAX_BODY_BYTES);
+    let (status, reply) = d.post("/v1/run", &body);
+    assert_eq!(status, 400, "nested body: {reply}");
+    assert!(reply.contains("nesting deeper than"), "reply: {reply}");
+    d.assert_alive();
+    let (status, run) = d.post("/v1/run", &run_body("fm"));
+    assert_eq!(status, 200);
+    assert_eq!(run, solo_bytes("fm"), "a real run must still be pristine");
+    d.shutdown();
+}
+
 /// Forced surrogate fallback: with the `surrogate-uncertain` site armed,
 /// the first surrogate-tier request must come back as a real simulation
 /// (`"fallback": true`, CPI byte-identical to pricing the point

@@ -19,11 +19,13 @@
 //!   retired instructions) into per-window delta series with a derived
 //!   per-window MLP.
 //!
-//! Everything is first-party: JSON parsing lives in [`json`], and the
-//! table rendering is shared with the experiments crate.
+//! Everything is first-party: JSON parsing is the workspace's
+//! `mlp-json` crate, re-exported as [`json`], and the table rendering is
+//! shared with the experiments crate.
+
+pub use mlp_json as json;
 
 pub mod diff;
-pub mod json;
 pub mod report;
 pub mod summary;
 pub mod timeline;

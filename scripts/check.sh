@@ -33,11 +33,19 @@ cargo test -q --release -p mlp-experiments --test differential
 
 echo "==> no-panic property suites"
 # Hostile-input coverage: arbitrary/mutated trace bytes must never panic
-# the decoders (v1 and chunked v2), and randomly panicking sweep jobs
-# must never lose a slot.
+# the decoders (v1 and chunked v2), randomly panicking sweep jobs must
+# never lose a slot, and no byte string panics the JSON parser.
 cargo test -q -p mlp-isa --test prop
 cargo test -q -p mlp-isa --test chunked_prop
 cargo test -q -p mlp-par --test prop
+# The JSON parser every reader shares: write->parse round trips, random
+# and mutated bytes never panic, nesting past MAX_DEPTH is an error.
+cargo test -q -p mlp-json
+
+echo "==> mlp-serve unit tests, 20 runs (race check for armed faults)"
+# The cache and job tests arm fault sites; a fault armed for one test
+# must never be consumed by a sibling running on another thread.
+for _ in $(seq 20); do cargo test -q -p mlp-serve --lib >/dev/null; done
 
 echo "==> model + observability property suites"
 # Algebraic laws of the §2.2 CPI model and conservation invariants of
