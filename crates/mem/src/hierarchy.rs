@@ -179,9 +179,15 @@ impl Hierarchy {
         self.config
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics, including each cache level's demand
+    /// counters.
     pub fn stats(&self) -> HierarchyStats {
-        self.stats
+        HierarchyStats {
+            l1i: self.l1i.stats(),
+            l1d: self.l1d.stats(),
+            l2: self.l2.stats(),
+            ..self.stats
+        }
     }
 
     /// Resets statistics (cache contents are kept) — call at the end of
@@ -201,29 +207,19 @@ impl Hierarchy {
         }
     }
 
+    /// Walks the levels inward-out. Every level that misses has already
+    /// filled the line as its most-recently-used way ([`Cache::access`]
+    /// allocates on a miss), so no fill pass follows.
     fn classify(l1: &mut Cache, l2: &mut Cache, l3: Option<&mut Cache>, addr: u64) -> Access {
         if l1.access(addr) {
-            return Access::L1Hit;
+            Access::L1Hit
+        } else if l2.access(addr) {
+            Access::L2Hit
+        } else if l3.is_some_and(|l3| l3.access(addr)) {
+            Access::L3Hit
+        } else {
+            Access::OffChip
         }
-        if l2.access(addr) {
-            l1.touch(addr); // fill L1 from L2
-            return Access::L2Hit;
-        }
-        // Off-chip: consult the L3 if present, then fill inward.
-        let outcome = match l3 {
-            Some(l3) => {
-                if l3.access(addr) {
-                    Access::L3Hit
-                } else {
-                    l3.touch(addr);
-                    Access::OffChip
-                }
-            }
-            None => Access::OffChip,
-        };
-        l2.touch(addr);
-        l1.touch(addr);
-        outcome
     }
 
     /// Classifies (and performs) the instruction fetch of the line
@@ -285,23 +281,15 @@ impl Hierarchy {
         if self.obs_armed {
             self.tlb.access(addr);
         }
+        // As in `classify`, each missing level's touch is its fill.
         let a = if self.l1d.touch(addr) {
             Access::L1Hit
         } else if self.l2.touch(addr) {
             Access::L2Hit
+        } else if self.l3.as_mut().is_some_and(|l3| l3.touch(addr)) {
+            Access::L3Hit
         } else {
-            let outcome = match self.l3.as_mut() {
-                Some(l3) => {
-                    if l3.touch(addr) {
-                        Access::L3Hit
-                    } else {
-                        Access::OffChip
-                    }
-                }
-                None => Access::OffChip,
-            };
-            self.l2.touch(addr);
-            outcome
+            Access::OffChip
         };
         if a.is_off_chip() {
             self.stats.pmisses += 1;

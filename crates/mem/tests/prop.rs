@@ -1,6 +1,8 @@
 //! Property-based tests of cache, TLB and MSHR invariants.
 
-use mlp_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig, Mshr, MshrOutcome, Tlb, TlbConfig};
+use mlp_mem::{
+    Access, Cache, CacheConfig, Hierarchy, HierarchyConfig, Mshr, MshrOutcome, Tlb, TlbConfig,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -112,5 +114,123 @@ proptest! {
         }
         let s = h.stats();
         prop_assert_eq!(s.off_chip_total(), s.imisses + s.dmisses + s.smisses + s.pmisses);
+    }
+}
+
+/// Reference hierarchy with the classify and prefetch walks written out
+/// in full: after the level that satisfies an access, every level
+/// inward is touched again to fill it. Those touches always hit (a miss
+/// already filled the line), so [`Hierarchy`] leaves them out; this copy
+/// keeps them to show that nothing observable changes.
+struct FillPassHierarchy {
+    l1i: Cache,
+    l1d: Cache,
+    l2: Cache,
+    l3: Option<Cache>,
+}
+
+impl FillPassHierarchy {
+    fn new(config: HierarchyConfig) -> FillPassHierarchy {
+        FillPassHierarchy {
+            l1i: Cache::new(config.l1i),
+            l1d: Cache::new(config.l1d),
+            l2: Cache::new(config.l2),
+            l3: config.l3.map(Cache::new),
+        }
+    }
+
+    fn classify(l1: &mut Cache, l2: &mut Cache, l3: Option<&mut Cache>, addr: u64) -> Access {
+        if l1.access(addr) {
+            return Access::L1Hit;
+        }
+        if l2.access(addr) {
+            l1.touch(addr);
+            return Access::L2Hit;
+        }
+        let outcome = match l3 {
+            Some(l3) => {
+                if l3.access(addr) {
+                    Access::L3Hit
+                } else {
+                    l3.touch(addr);
+                    Access::OffChip
+                }
+            }
+            None => Access::OffChip,
+        };
+        l2.touch(addr);
+        l1.touch(addr);
+        outcome
+    }
+
+    fn prefetch(&mut self, addr: u64) -> Access {
+        if self.l1d.touch(addr) {
+            Access::L1Hit
+        } else if self.l2.touch(addr) {
+            Access::L2Hit
+        } else {
+            let outcome = match self.l3.as_mut() {
+                Some(l3) => {
+                    if l3.touch(addr) {
+                        Access::L3Hit
+                    } else {
+                        Access::OffChip
+                    }
+                }
+                None => Access::OffChip,
+            };
+            self.l2.touch(addr);
+            outcome
+        }
+    }
+
+    fn op(&mut self, op: u8, addr: u64) -> Access {
+        match op {
+            0 => Self::classify(&mut self.l1i, &mut self.l2, self.l3.as_mut(), addr),
+            1 | 2 => Self::classify(&mut self.l1d, &mut self.l2, self.l3.as_mut(), addr),
+            _ => self.prefetch(addr),
+        }
+    }
+}
+
+proptest! {
+    /// Random ifetch/load/store/prefetch streams over a few hundred lines
+    /// (small caches, so hits, misses and evictions all occur), with and
+    /// without an L3: the hierarchy matches the fill-pass reference access
+    /// for access, in its statistics, and in what the L2 holds.
+    #[test]
+    fn hierarchy_matches_fill_pass_reference(
+        ops in proptest::collection::vec((0u8..4, 0u64..384, 0u64..64), 0..600),
+        probes in proptest::collection::vec(0u64..384, 8),
+        with_l3 in any::<bool>(),
+    ) {
+        let mut config = HierarchyConfig {
+            l1i: CacheConfig::new(1024, 2),
+            l1d: CacheConfig::new(1024, 2),
+            l2: CacheConfig::new(4096, 4),
+            ..HierarchyConfig::default()
+        };
+        if with_l3 {
+            config.l3 = Some(CacheConfig::new(8192, 8));
+        }
+        let mut h = Hierarchy::new(config);
+        let mut r = FillPassHierarchy::new(config);
+        for &(op, line, offset) in &ops {
+            let addr = line * 64 + offset;
+            let got = match op {
+                0 => h.ifetch(addr),
+                1 => h.load(addr),
+                2 => h.store(addr),
+                _ => h.prefetch(addr),
+            };
+            prop_assert_eq!(got, r.op(op, addr));
+            for &p in &probes {
+                prop_assert_eq!(h.probe_l2(p * 64), r.l2.probe(p * 64));
+            }
+        }
+        let s = h.stats();
+        prop_assert_eq!(s.l1i, r.l1i.stats());
+        prop_assert_eq!(s.l1d, r.l1d.stats());
+        prop_assert_eq!(s.l2, r.l2.stats());
     }
 }

@@ -4,8 +4,9 @@
 //! A `POST /v1/run` body carrying `"tier": "surrogate"` plus a config
 //! point (`benchmark`, `window`, `mshrs`, `latency`, `l2_kb`) skips the
 //! job scheduler entirely. The first such request trains the model once
-//! — the `sweep1000` active-sampling loop at quick scale, a few seconds
-//! — and every later request is a pure in-memory prediction. Each
+//! — the `sweep1000` active-sampling loop at quick scale, about 2.3 s on
+//! a 2-core host, nearly all of it simulating the engine cells the loop
+//! picks — and every later request is a pure in-memory prediction. Each
 //! response carries the predicted CPI and the ensemble uncertainty; when
 //! the uncertainty exceeds the pinned [`UNCERTAINTY_BOUND_PCT`] (or the
 //! [`mlp_faults::SURROGATE_UNCERTAIN`] site is armed and trips), the

@@ -205,9 +205,7 @@ impl Surrogate {
     ) -> Surrogate {
         assert_eq!(points.len(), cpi.len(), "points/cpi length mismatch");
         let rows = canonical_rows(points, cpi, priors);
-        let xs: Vec<Vec<f64>> = rows.iter().map(|(x, _)| x.clone()).collect();
-        let ys: Vec<f64> = rows.iter().map(|&(_, y)| y).collect();
-        let beta = linalg::ridge(&xs, &ys, lambda);
+        let beta = fit_beta(&rows, lambda);
         let folds = ENSEMBLE.min(rows.len()).max(1);
         let ensemble = (0..folds)
             .map(|f| {
@@ -232,13 +230,8 @@ impl Surrogate {
     /// exponential keeps the off-chip component positive, so a
     /// prediction is never below the workload's on-chip CPI.
     pub fn predict(&self, p: &ConfigPoint) -> f64 {
-        self.predict_with(&self.beta, p)
-    }
-
-    fn predict_with(&self, beta: &[f64], p: &ConfigPoint) -> f64 {
         let prior = &self.priors[p.workload];
-        let t = linalg::dot(beta, &features(p)).clamp(-LOG_RESIDUAL_CLAMP, LOG_RESIDUAL_CLAMP);
-        prior.cpi_on_chip + prior.off_chip_cpi(p.latency) * t.exp()
+        predict_cpi(prior, p.latency, &self.beta, &features(p))
     }
 
     /// Relative uncertainty (percent) at `p`: the spread of the
@@ -247,16 +240,33 @@ impl Surrogate {
     /// training data disagree the most, which is what active sampling
     /// exploits.
     pub fn uncertainty_pct(&self, p: &ConfigPoint) -> f64 {
+        let prior = &self.priors[p.workload];
+        let phi = features(p);
         let preds: Vec<f64> = self
             .ensemble
             .iter()
-            .map(|beta| self.predict_with(beta, p))
+            .map(|beta| predict_cpi(prior, p.latency, beta, &phi))
             .collect();
         let n = preds.len() as f64;
         let mean = preds.iter().sum::<f64>() / n;
         let var = preds.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
         100.0 * var.sqrt() / mean.abs().max(1e-9)
     }
+}
+
+/// The ridge coefficients of canonically ordered rows: all that
+/// [`Surrogate::predict`] needs, without the jackknife ensemble.
+fn fit_beta(rows: &[TrainRow], lambda: f64) -> Vec<f64> {
+    let xs: Vec<Vec<f64>> = rows.iter().map(|(x, _)| x.clone()).collect();
+    let ys: Vec<f64> = rows.iter().map(|&(_, y)| y).collect();
+    linalg::ridge(&xs, &ys, lambda)
+}
+
+/// [`Surrogate::predict`] under coefficients `beta`, for a point with
+/// features `phi` at `latency` cycles.
+fn predict_cpi(prior: &WorkloadPrior, latency: u32, beta: &[f64], phi: &[f64]) -> f64 {
+    let t = linalg::dot(beta, phi).clamp(-LOG_RESIDUAL_CLAMP, LOG_RESIDUAL_CLAMP);
+    prior.cpi_on_chip + prior.off_chip_cpi(latency) * t.exp()
 }
 
 /// Held-out error statistics from [`kfold_cv`].
@@ -301,9 +311,11 @@ pub fn cv_fold(p: &ConfigPoint, k: usize) -> usize {
 }
 
 /// `k`-fold cross-validation: folds group whole engine cells (see
-/// [`cv_fold`]), each fold's points are predicted by a surrogate trained
-/// on the other folds, and the relative errors are summarized. Fully
-/// deterministic for a fixed input order.
+/// [`cv_fold`]), each fold's points are predicted by ridge coefficients
+/// fitted on the other folds (the same `beta` [`Surrogate::fit_with`]
+/// would produce; scoring never needs its jackknife ensemble), and the
+/// relative errors are summarized. Fully deterministic for a fixed input
+/// order.
 ///
 /// # Panics
 ///
@@ -329,10 +341,11 @@ pub fn kfold_cv(
         if tp.is_empty() {
             continue;
         }
-        let s = Surrogate::fit_with(&tp, &ty, priors, lambda);
+        let beta = fit_beta(&canonical_rows(&tp, &ty, priors), lambda);
         for (i, (p, &y)) in points.iter().zip(cpi).enumerate() {
             if cv_fold(p, k) == fold {
-                errors.push((mlp_model::pct_error(s.predict(p), y).abs(), i));
+                let pred = predict_cpi(&priors[p.workload], p.latency, &beta, &features(p));
+                errors.push((mlp_model::pct_error(pred, y).abs(), i));
             }
         }
     }

@@ -1,24 +1,57 @@
-//! Hand-rolled dense linear algebra for the surrogate: a Cholesky solve
-//! and ridge regression on top of it. No external dependencies — the
-//! systems here are tiny (tens of features), so a first-party solver is
-//! cheaper than pulling in a linear-algebra crate, and it keeps every
-//! floating-point operation deterministic and auditable.
+//! Hand-rolled linear algebra for the surrogate: a Cholesky solve and
+//! ridge regression on top of it. No external dependencies — the
+//! systems here are small (a few hundred features), so a first-party
+//! solver is cheaper than pulling in a linear-algebra crate, and it
+//! keeps every floating-point operation deterministic and auditable.
+//!
+//! Both routines exploit sparsity without changing a single output bit
+//! relative to the plain dense loops. The surrogate's design is one-hot
+//! blocked (a row is non-zero only in its own workload's block), so the
+//! Gram matrix is block-diagonal. [`ridge`] accumulates it from each
+//! row's non-zero entries only, and [`cholesky_solve`] factors only
+//! inside the envelope of the lower triangle. Every skipped term is a
+//! product with an exact zero factor, hence ±0.0, and adding ±0.0 to an
+//! accumulator leaves it unchanged unless that accumulator is −0.0. The
+//! Gram accumulators start at +0.0 and can never become −0.0; the solve
+//! falls back to the dense term order for any sum that starts at −0.0.
+//! Summation order is never changed, so the results are bit-identical.
+
+/// Whether `v` is −0.0, the one accumulator value that adding a ±0.0
+/// term can change.
+fn is_neg_zero(v: f64) -> bool {
+    v.to_bits() == (-0.0f64).to_bits()
+}
 
 /// Solves `A·x = b` for a symmetric positive-definite `A` (row-major
-/// `n × n`) via Cholesky factorization (`A = L·Lᵀ`, then two triangular
-/// substitutions). Returns `None` when `A` is not numerically SPD — a
-/// pivot that is non-positive or non-finite — or when the dimensions
-/// disagree; it never panics on hostile input.
+/// `n × n`, only the lower triangle is read) via Cholesky factorization
+/// (`A = L·Lᵀ`, then two triangular substitutions). Returns `None` when
+/// `A` is not numerically SPD — a pivot that is non-positive or
+/// non-finite — or when the dimensions disagree; it never panics on
+/// hostile input.
+///
+/// The factorization is an envelope (skyline) one: row `i` of `L` is
+/// zero before `first[i]`, the first column of row `i` of `A`'s lower
+/// triangle that is not `+0.0`, so every inner product and both
+/// substitutions start there. The result is bit-identical to the dense
+/// loops (see the module docs).
 pub fn cholesky_solve(a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
     let n = b.len();
     if a.len() != n.checked_mul(n)? {
         return None;
     }
+    let first: Vec<usize> = (0..n)
+        .map(|i| (0..i).find(|&j| a[i * n + j].to_bits() != 0).unwrap_or(i))
+        .collect();
     let mut l = vec![0.0; n * n];
     for i in 0..n {
-        for j in 0..=i {
+        for j in first[i]..=i {
             let mut sum = a[i * n + j];
-            for k in 0..j {
+            let from = if is_neg_zero(sum) {
+                0
+            } else {
+                first[i].max(first[j])
+            };
+            for k in from..j {
                 sum -= l[i * n + k] * l[j * n + k];
             }
             if i == j {
@@ -35,16 +68,20 @@ pub fn cholesky_solve(a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
     let mut x = b.to_vec();
     for i in 0..n {
         let mut acc = x[i];
-        for k in 0..i {
+        let from = if is_neg_zero(acc) { 0 } else { first[i] };
+        for k in from..i {
             acc -= l[i * n + k] * x[k];
         }
         x[i] = acc / l[i * n + i];
     }
-    // … then back substitution Lᵀ·β = y.
+    // … then back substitution Lᵀ·β = y, down column i of L: rows whose
+    // envelope starts after column i hold an exact zero there.
     for i in (0..n).rev() {
         let mut acc = x[i];
         for k in i + 1..n {
-            acc -= l[k * n + i] * x[k];
+            if first[k] <= i || is_neg_zero(acc) {
+                acc -= l[k * n + i] * x[k];
+            }
         }
         x[i] = acc / l[i * n + i];
     }
@@ -60,6 +97,10 @@ pub fn cholesky_solve(a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
 /// system is SPD even for rank-deficient designs; and if the solve still
 /// fails (e.g. every row was hostile) the zero vector comes back instead
 /// of a panic.
+///
+/// Each row contributes to `Xᵀy` and the lower triangle of `XᵀX` only
+/// at its non-zero entries, visiting rows in order, so the result is
+/// bit-identical to accumulating every entry (see the module docs).
 pub fn ridge(rows: &[Vec<f64>], y: &[f64], lambda: f64) -> Vec<f64> {
     let p = rows.iter().map(Vec::len).max().unwrap_or(0);
     if p == 0 {
@@ -67,20 +108,18 @@ pub fn ridge(rows: &[Vec<f64>], y: &[f64], lambda: f64) -> Vec<f64> {
     }
     let mut xtx = vec![0.0; p * p];
     let mut xty = vec![0.0; p];
+    let mut nz: Vec<usize> = Vec::with_capacity(p);
     for (r, &yi) in rows.iter().zip(y) {
         if r.len() != p || !yi.is_finite() || r.iter().any(|v| !v.is_finite()) {
             continue;
         }
-        for i in 0..p {
+        nz.clear();
+        nz.extend((0..p).filter(|&i| r[i] != 0.0));
+        for (m, &i) in nz.iter().enumerate() {
             xty[i] += r[i] * yi;
-            for j in 0..=i {
+            for &j in &nz[..=m] {
                 xtx[i * p + j] += r[i] * r[j];
             }
-        }
-    }
-    for i in 0..p {
-        for j in 0..i {
-            xtx[j * p + i] = xtx[i * p + j];
         }
     }
     let trace: f64 = (0..p).map(|i| xtx[i * p + i]).sum();

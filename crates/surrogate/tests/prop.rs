@@ -3,9 +3,13 @@
 //! noiseless well-conditioned systems, ridge regression is total on
 //! arbitrarily hostile designs, and a fitted surrogate is deterministic
 //! and bit-for-bit invariant to the order of its training rows.
+//!
+//! The sparse ridge and envelope Cholesky are also checked bit for bit
+//! against a copy of the plain dense loops they replaced, on one-hot
+//! block-sparse designs and block-diagonal / banded SPD systems.
 
 use mlp_surrogate::linalg::{cholesky_solve, ridge};
-use mlp_surrogate::{default_priors, ConfigPoint, Surrogate, NUM_WORKLOADS};
+use mlp_surrogate::{default_priors, features, ConfigPoint, Surrogate, NUM_WORKLOADS};
 use proptest::prelude::*;
 use proptest::strategy::LazyGen;
 use proptest::test_runner::TestRng;
@@ -36,13 +40,18 @@ fn spd_system(rng: &mut TestRng) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 }
 
 /// A value drawn from the hostile end of the f64 spectrum: NaN, both
-/// infinities, zero, or a large-magnitude finite number.
+/// infinities, both signed zeros, magnitudes whose products underflow
+/// or overflow, or a large-magnitude finite number.
 fn hostile_value(rng: &mut TestRng) -> f64 {
-    match rng.below(6) {
+    match rng.below(10) {
         0 => f64::NAN,
         1 => f64::INFINITY,
         2 => f64::NEG_INFINITY,
         3 => 0.0,
+        4 => -0.0,
+        5 => 1e-300,
+        6 => -1e-300,
+        7 => 1e300,
         _ => (-1e3..=1e3).generate(rng),
     }
 }
@@ -140,7 +149,8 @@ proptest! {
     }
 
     /// `cholesky_solve` never panics and never returns non-finite
-    /// values, whatever the input holds.
+    /// values, whatever the input holds, and matches the dense solve
+    /// bit for bit.
     #[test]
     fn cholesky_is_total_on_hostile_input(
         n in 0usize..=6,
@@ -149,15 +159,18 @@ proptest! {
         let mut rng = TestRng::for_case("hostile-cholesky", seed);
         let a: Vec<f64> = (0..n * n).map(|_| hostile_value(&mut rng)).collect();
         let b: Vec<f64> = (0..n).map(|_| hostile_value(&mut rng)).collect();
-        if let Some(sol) = cholesky_solve(&a, &b) {
+        let sol = cholesky_solve(&a, &b);
+        if let Some(sol) = &sol {
             prop_assert_eq!(sol.len(), n);
             prop_assert!(sol.iter().all(|v| v.is_finite()));
         }
+        let want = dense_cholesky_solve(&a, &b).map(|x| bits(&x));
+        prop_assert_eq!(sol.map(|x| bits(&x)), want);
     }
 
     /// Ridge is total: rank-deficient, degenerate, and hostile designs
     /// produce a finite coefficient vector of the right width — never a
-    /// panic, never NaN.
+    /// panic, never NaN — and it is the dense ridge's, bit for bit.
     #[test]
     fn ridge_is_total_on_hostile_designs(design in LazyGen::new(hostile_design)) {
         let (rows, y, lambda) = design;
@@ -165,6 +178,7 @@ proptest! {
         let beta = ridge(&rows, &y, lambda);
         prop_assert_eq!(beta.len(), p);
         prop_assert!(beta.iter().all(|v| v.is_finite()), "beta = {:?}", beta);
+        prop_assert_eq!(bits(&beta), bits(&dense_ridge(&rows, &y, lambda)));
     }
 }
 
@@ -196,5 +210,256 @@ proptest! {
                 shuffled.uncertainty_pct(p).to_bits()
             );
         }
+    }
+}
+
+/// Reference: the dense Cholesky solve, every term of every inner
+/// product, in the same order as the envelope solve.
+fn dense_cholesky_solve(a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
+    let n = b.len();
+    if a.len() != n.checked_mul(n)? {
+        return None;
+    }
+    let mut l = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[i * n + j];
+            for k in 0..j {
+                sum -= l[i * n + k] * l[j * n + k];
+            }
+            if i == j {
+                if !sum.is_finite() || sum <= 0.0 {
+                    return None;
+                }
+                l[i * n + i] = sum.sqrt();
+            } else {
+                l[i * n + j] = sum / l[j * n + j];
+            }
+        }
+    }
+    let mut x = b.to_vec();
+    for i in 0..n {
+        let mut acc = x[i];
+        for k in 0..i {
+            acc -= l[i * n + k] * x[k];
+        }
+        x[i] = acc / l[i * n + i];
+    }
+    for i in (0..n).rev() {
+        let mut acc = x[i];
+        for k in i + 1..n {
+            acc -= l[k * n + i] * x[k];
+        }
+        x[i] = acc / l[i * n + i];
+    }
+    x.iter().all(|v| v.is_finite()).then_some(x)
+}
+
+/// Reference: dense ridge, accumulating every entry of every row.
+fn dense_ridge(rows: &[Vec<f64>], y: &[f64], lambda: f64) -> Vec<f64> {
+    let p = rows.iter().map(Vec::len).max().unwrap_or(0);
+    if p == 0 {
+        return Vec::new();
+    }
+    let mut xtx = vec![0.0; p * p];
+    let mut xty = vec![0.0; p];
+    for (r, &yi) in rows.iter().zip(y) {
+        if r.len() != p || !yi.is_finite() || r.iter().any(|v| !v.is_finite()) {
+            continue;
+        }
+        for i in 0..p {
+            xty[i] += r[i] * yi;
+            for j in 0..=i {
+                xtx[i * p + j] += r[i] * r[j];
+            }
+        }
+    }
+    for i in 0..p {
+        for j in 0..i {
+            xtx[j * p + i] = xtx[i * p + j];
+        }
+    }
+    let trace: f64 = (0..p).map(|i| xtx[i * p + i]).sum();
+    let floor = 1e-12 * (1.0 + trace.abs() / p as f64);
+    let lam = if lambda.is_finite() && lambda > floor {
+        lambda
+    } else {
+        floor
+    };
+    for i in 0..p {
+        xtx[i * p + i] += lam;
+    }
+    dense_cholesky_solve(&xtx, &xty).unwrap_or_else(|| vec![0.0; p])
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A one-hot block-sparse design shaped like the surrogate's: each row
+/// is non-zero only in its own block, some columns are zero in every
+/// row, some are 0/1 indicators (gating negative values into −0.0, as
+/// `features` does), plus occasional hostile rows — hostile values,
+/// wrong widths, duplicates and all-zero rows.
+fn block_sparse_design(rng: &mut TestRng) -> (Vec<Vec<f64>>, Vec<f64>, f64) {
+    let blocks = (1usize..=4).generate(rng);
+    let width = (1usize..=10).generate(rng);
+    let p = blocks * width;
+    // Per column: 0 = always zero, 1 = indicator-gated, 2 = dense.
+    let kind: Vec<u64> = (0..width).map(|_| rng.below(3)).collect();
+    let n = (0usize..=30).generate(rng);
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut row = vec![0.0; p];
+        let base = rng.below(blocks as u64) as usize * width;
+        let gate = if rng.ratio(1, 3) { 1.0 } else { 0.0 };
+        for (c, &k) in kind.iter().enumerate() {
+            let v: f64 = (-2.0..=2.0).generate(rng);
+            row[base + c] = match k {
+                0 => 0.0,
+                1 => gate * v,
+                _ => v,
+            };
+        }
+        if rng.ratio(1, 8) {
+            let c = rng.below(p as u64) as usize;
+            row[c] = hostile_value(rng);
+        }
+        if rng.ratio(1, 12) {
+            row.truncate(rng.below(p as u64) as usize);
+        }
+        if rng.ratio(1, 10) && !rows.is_empty() {
+            row = rows[rng.below(rows.len() as u64) as usize].clone();
+        }
+        if rng.ratio(1, 10) {
+            row.iter_mut().for_each(|v| *v = 0.0);
+        }
+        rows.push(row);
+        y.push(if rng.ratio(1, 10) {
+            hostile_value(rng)
+        } else {
+            (-3.0..=3.0).generate(rng)
+        });
+    }
+    let lambda = match rng.below(4) {
+        0 => 0.0,
+        1 => f64::NAN,
+        _ => (0.0..1e-2).generate(rng),
+    };
+    (rows, y, lambda)
+}
+
+/// A symmetric positive-definite system with a skyline zero pattern:
+/// row `i` of the lower triangle starts at a random column (a band, a
+/// block boundary, or anywhere), entries inside the envelope may still
+/// be exact zeros, and the diagonal dominates. Optionally a few lower
+/// entries and right-hand-side values are swapped for hostile values.
+fn skyline_system(rng: &mut TestRng) -> (Vec<f64>, Vec<f64>) {
+    let n = (1usize..=24).generate(rng);
+    let shape = rng.below(3);
+    let band = (0usize..=4).generate(rng);
+    let block = (1usize..=8).generate(rng);
+    let mut a = vec![0.0; n * n];
+    for i in 0..n {
+        let start = match shape {
+            0 => i.saturating_sub(band),
+            1 => i / block * block,
+            _ => rng.below(i as u64 + 1) as usize,
+        };
+        for j in start..i {
+            let v = if rng.ratio(1, 5) {
+                0.0
+            } else {
+                (-1.0..=1.0).generate(rng)
+            };
+            a[i * n + j] = v;
+            a[j * n + i] = v;
+        }
+    }
+    for i in 0..n {
+        let off: f64 = (0..n).filter(|&j| j != i).map(|j| a[i * n + j].abs()).sum();
+        a[i * n + i] = off + (0.5..=2.0).generate(rng);
+    }
+    let mut b: Vec<f64> = (0..n)
+        .map(|_| {
+            if rng.ratio(1, 4) {
+                0.0
+            } else {
+                (-3.0..=3.0).generate(rng)
+            }
+        })
+        .collect();
+    if rng.ratio(1, 3) {
+        for _ in 0..(1usize..=3).generate(rng) {
+            let i = rng.below(n as u64) as usize;
+            let j = rng.below(i as u64 + 1) as usize;
+            a[i * n + j] = hostile_value(rng);
+            b[rng.below(n as u64) as usize] = hostile_value(rng);
+        }
+    }
+    (a, b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The envelope Cholesky solve returns exactly the dense solve's
+    /// bits (or `None` exactly when it does).
+    #[test]
+    fn envelope_cholesky_is_bitwise_dense(sys in LazyGen::new(skyline_system)) {
+        let (a, b) = sys;
+        let want = dense_cholesky_solve(&a, &b).map(|x| bits(&x));
+        let got = cholesky_solve(&a, &b).map(|x| bits(&x));
+        prop_assert_eq!(got, want);
+    }
+
+    /// Sparse Gram accumulation returns exactly the dense ridge's bits.
+    #[test]
+    fn sparse_ridge_is_bitwise_dense(design in LazyGen::new(block_sparse_design)) {
+        let (rows, y, lambda) = design;
+        prop_assert_eq!(bits(&ridge(&rows, &y, lambda)), bits(&dense_ridge(&rows, &y, lambda)));
+    }
+}
+
+proptest! {
+    // Few cases: the dense reference over the full 231-wide basis is
+    // slow unoptimized.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same on real surrogate feature rows: the full one-hot basis
+    /// with its MSHR-indicator blocks.
+    #[test]
+    fn sparse_ridge_is_bitwise_dense_on_features(set in LazyGen::new(training_set)) {
+        let (points, cpi, _, _) = set;
+        let rows: Vec<Vec<f64>> = points.iter().map(features).collect();
+        let y: Vec<f64> = cpi.iter().map(|c| c.ln()).collect();
+        prop_assert_eq!(bits(&ridge(&rows, &y, 1e-3)), bits(&dense_ridge(&rows, &y, 1e-3)));
+    }
+}
+
+/// The sign corners the envelope solve guards by name: a −0.0 in the
+/// right-hand side, a forward-substitution result that underflows to
+/// −0.0, a −0.0 inside the envelope of `A`, and one before it (which
+/// must count as part of the envelope). Each meets a skipped zero term
+/// whose sign would otherwise be lost.
+#[test]
+fn envelope_cholesky_keeps_signed_zero_corners() {
+    let cases: [(Vec<f64>, Vec<f64>); 4] = [
+        (vec![1.0, 0.0, 0.0, 1.0], vec![-1.0, -0.0]),
+        (vec![1e200, 0.0, 0.0, 1.0], vec![-1e-300, -1.0]),
+        (
+            vec![4.0, 0.0, 0.0, 0.0, 4.0, 0.0, -1.0, -0.0, 4.0],
+            vec![0.0, -0.0, 1.0],
+        ),
+        (vec![1.0, 0.0, -0.0, 1.0], vec![1.0, -0.0]),
+    ];
+    for (a, b) in cases {
+        let want = dense_cholesky_solve(&a, &b).map(|x| bits(&x));
+        assert_eq!(
+            cholesky_solve(&a, &b).map(|x| bits(&x)),
+            want,
+            "A = {a:?}, b = {b:?}"
+        );
     }
 }

@@ -81,10 +81,11 @@ ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
 diff "$stream_dir/mem/table5.quick.json" "$stream_dir/disk/table5.quick.json"
 
 echo "==> surrogate property + cross-validation suites"
-# Planted-coefficient recovery, ridge totality on hostile designs, and
-# row-order-invariant fits (prop, also in the debug workspace run); then
-# k-fold CV over the golden report corpus against the published 5%/15%
-# tolerance (release only: 231-wide ridge fits).
+# Planted-coefficient recovery, ridge totality on hostile designs,
+# row-order-invariant fits, and the sparse ridge / envelope Cholesky
+# bit for bit against the dense loops (prop); then k-fold CV over the
+# golden report corpus against the published 5%/15% tolerance. Both
+# also run in the debug workspace run above; here they run optimized.
 cargo test -q --release -p mlp-surrogate --test prop
 cargo test -q --release -p mlp-surrogate --test crossval
 
@@ -148,17 +149,17 @@ echo "==> experiment bench (records results/BENCH_experiments.json; guards figur
 # changes with MLP_BENCH_GUARD=off.
 cargo bench -q -p mlp-bench --bench experiments >/dev/null
 
+echo "==> surrogate bench (records results/BENCH_surrogate.json; asserts >=50x + CV tolerance)"
+# Active-sampling exploration, fit time, predict throughput, and the
+# speedup over a surrogate-free full sweep; fails if the speedup drops
+# below 50x, the CV tolerance breaks, or exploration regresses >3x.
+cargo bench -q -p mlp-bench --bench surrogate >/dev/null
+
 echo "==> stream bench (records results/BENCH_stream.json; guards peak RSS + wall time)"
 # Bounded-memory property of the streaming path at the paper's window
 # size: spill 100M instructions, run from disk, assert peak RSS stays
 # under the absolute streaming budget. (~90s; the bench's own default is
 # 8M so plain 'cargo bench' stays fast.)
 MLP_STREAM_BENCH_INSTS=100M cargo bench -q -p mlp-bench --bench stream >/dev/null
-
-echo "==> surrogate bench (records results/BENCH_surrogate.json; asserts >=50x + CV tolerance)"
-# Active-sampling exploration, fit time, predict throughput, and the
-# speedup over a surrogate-free full sweep; fails if the speedup drops
-# below 50x, the CV tolerance breaks, or exploration regresses >3x.
-cargo bench -q -p mlp-bench --bench surrogate >/dev/null
 
 echo "All checks passed."
